@@ -358,6 +358,8 @@ pub fn run_epochs(
             ftran_nnz: stats.ftran_nnz,
             dual_pivots: stats.dual_pivots,
             bound_flips: stats.bound_flips,
+            rank_repairs: stats.rank_repairs,
+            rank_dependents: stats.rank_dependents,
             pricing_rounds: rounds,
             active_columns: active,
             total_columns: total,
@@ -450,6 +452,10 @@ pub struct FaultEpochRecord {
     pub dual_pivots: usize,
     /// Nonbasic bound flips by the dual solver.
     pub bound_flips: usize,
+    /// Rank repairs of the seeded basis and the dependent columns they
+    /// swapped for slacks.
+    pub rank_repairs: usize,
+    pub rank_dependents: usize,
     /// Head-to-head control (dual ladder, fault epochs only): iterations
     /// the repaired-warm *primal* rung spends on this exact model from
     /// this exact incoming basis. `None` on non-fault epochs, on the
@@ -680,6 +686,8 @@ pub fn run_epochs_faulted(
                     warm: format!("{:?}", stats.warm),
                     dual_pivots: stats.dual_pivots,
                     bound_flips: stats.bound_flips,
+                    rank_repairs: stats.rank_repairs,
+                    rank_dependents: stats.rank_dependents,
                     primal_iterations,
                     solve_ms: stats.solve_ms,
                     epoch_ms,
@@ -703,6 +711,8 @@ pub fn run_epochs_faulted(
                     warm: "Cold".to_string(),
                     dual_pivots: 0,
                     bound_flips: 0,
+                    rank_repairs: 0,
+                    rank_dependents: 0,
                     primal_iterations,
                     solve_ms: 0.0,
                     epoch_ms,

@@ -208,6 +208,8 @@ fn sharded_epoch(
         ftran_nnz: s.ftran_nnz,
         dual_pivots: s.dual_pivots,
         bound_flips: s.bound_flips,
+        rank_repairs: s.rank_repairs,
+        rank_dependents: s.rank_dependents,
         pricing_rounds: stats.rounds,
         active_columns: stats.active_columns,
         total_columns: stats.total_columns,

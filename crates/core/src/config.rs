@@ -426,15 +426,6 @@ impl SchedulerConfigBuilder {
     }
 }
 
-/// The batch-era name for [`SchedulerConfig`], kept as a thin forward for
-/// one release.
-#[deprecated(
-    since = "0.9.0",
-    note = "renamed to `SchedulerConfig`; construct through \
-            `SchedulerConfig::builder()` / `SchedulerConfig::preset(..)`"
-)]
-pub type LipsConfig = SchedulerConfig;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -28,9 +28,6 @@ use crate::lp_build::{
 };
 use crate::report::EpochRecord;
 
-#[allow(deprecated)]
-pub use crate::config::LipsConfig;
-
 /// How one epoch's scheduling decision was ultimately produced — the
 /// rungs of the degradation ladder a fault-mode run reports per epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1525,6 +1525,8 @@ fn master_price_loop(
         agg.refactors += s.refactors;
         agg.ftran_nnz += s.ftran_nnz;
         agg.solve_ms += s.solve_ms;
+        agg.rank_repairs += s.rank_repairs;
+        agg.rank_dependents += s.rank_dependents;
         first_warm.get_or_insert(s.warm);
 
         let pricer = lips_lp::ColumnPricer::new(&model, &sol).map_err(|e| {
@@ -1841,8 +1843,7 @@ struct ShardProposal {
     proposal: Vec<String>,
     /// The shard's optimal basis, carried into the next epoch.
     basis: Option<WarmStart>,
-    iterations: usize,
-    solve_ms: f64,
+    stats: SolveStats,
     warm_hit: bool,
     dual: bool,
     failed: bool,
@@ -1875,8 +1876,7 @@ fn solve_shard(
     let failed = ShardProposal {
         proposal: Vec::new(),
         basis: None,
-        iterations: 0,
-        solve_ms: 0.0,
+        stats: SolveStats::default(),
         warm_hit: false,
         dual: false,
         failed: true,
@@ -1942,8 +1942,7 @@ fn solve_shard(
     ShardProposal {
         proposal,
         basis,
-        iterations: sol.iterations(),
-        solve_ms: sol.stats().solve_ms,
+        stats: *sol.stats(),
         warm_hit,
         dual,
         failed: false,
@@ -2073,8 +2072,8 @@ fn sharded_run(
     )?;
     let fin = finish_restricted(inst, &arcs, &run, "sharded master", pool)?;
 
-    let subproblem_iterations: usize = proposals.iter().map(|p| p.iterations).sum();
-    let subproblem_solve_ms: f64 = proposals.iter().map(|p| p.solve_ms).sum();
+    let subproblem_iterations: usize = proposals.iter().map(|p| p.stats.iterations).sum();
+    let subproblem_solve_ms: f64 = proposals.iter().map(|p| p.stats.solve_ms).sum();
     let stats = ShardStats {
         shards: nshards,
         shard_warm_hits: proposals.iter().filter(|p| p.warm_hit).count(),
@@ -2099,6 +2098,10 @@ fn sharded_run(
     let mut schedule = fin.schedule;
     schedule.stats.iterations += subproblem_iterations;
     schedule.stats.solve_ms += subproblem_solve_ms;
+    for p in &proposals {
+        schedule.stats.rank_repairs += p.stats.rank_repairs;
+        schedule.stats.rank_dependents += p.stats.rank_dependents;
+    }
     schedule.iterations = schedule.stats.iterations;
     let state = ShardState {
         shard_bases: proposals

@@ -53,6 +53,14 @@ pub struct EpochRecord {
     /// Nonbasic bound flips by the dual solver (not counted in
     /// `iterations`).
     pub bound_flips: usize,
+    /// Rank repairs of seeded bases: times a warm basis came back
+    /// rank-deficient from the factorization and had its dependent columns
+    /// swapped for slacks (all master rounds and shard subproblems).
+    #[serde(default)]
+    pub rank_repairs: usize,
+    /// Dependent columns those repairs swapped for slacks.
+    #[serde(default)]
+    pub rank_dependents: usize,
     /// Restricted-master solve/price rounds (1 for direct solves).
     pub pricing_rounds: usize,
     /// Task columns the simplex actually saw (restricted modes: final
@@ -129,6 +137,8 @@ impl EpochRecord {
             ftran_nnz: stats.ftran_nnz,
             dual_pivots: stats.dual_pivots,
             bound_flips: stats.bound_flips,
+            rank_repairs: stats.rank_repairs,
+            rank_dependents: stats.rank_dependents,
             pricing_rounds,
             active_columns,
             total_columns,
@@ -160,6 +170,8 @@ impl EpochRecord {
             ftran_nnz: 0,
             dual_pivots: 0,
             bound_flips: 0,
+            rank_repairs: 0,
+            rank_dependents: 0,
             pricing_rounds: 0,
             active_columns: 0,
             total_columns: 0,

@@ -107,6 +107,8 @@ pub fn solve_dual_with_options(
         solve_ms: t0.elapsed_ms(),
         dual_pivots,
         bound_flips,
+        rank_repairs: w.rank_repairs,
+        rank_dependents: w.rank_dependents,
     };
     let next_warm = extract_warm_start(model, &sf, &w);
     Ok(
@@ -118,7 +120,7 @@ pub fn solve_dual_with_options(
 
 /// Seed the basis from resolved warm statuses without any primal repair:
 /// trim an over-full basis, complete an under-full one with slacks, and
-/// factorize (degrading through the rank sweep once). Primal bound
+/// factorize (degrading through one rank repair). Primal bound
 /// violations among the basics are left in place — they are the dual
 /// solver's work list, not damage.
 fn seed_basis(w: &mut Worker, states: &[Option<BasisStatus>]) -> Result<(), LpError> {
@@ -170,7 +172,7 @@ fn seed_basis(w: &mut Worker, states: &[Option<BasisStatus>]) -> Result<(), LpEr
         w.state[j] = VarState::Basic;
     }
     w.basis = basics;
-    if !w.refactor_or_prune() {
+    if !w.refactor_or_repair() {
         return Err(LpError::SingularBasis);
     }
     Ok(())

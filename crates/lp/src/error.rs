@@ -61,6 +61,28 @@ impl fmt::Display for LpError {
 
 impl std::error::Error for LpError {}
 
+/// What a basis factorization reports when it runs out of admissible
+/// pivots: the basis positions left unpivoted and the rows no pivot
+/// covers. Both lists are ascending and equally long (`m − rank`).
+///
+/// Putting the unit column of `uncovered[i]` into position
+/// `dependent[i]` for every `i` yields a nonsingular basis: the pivoted
+/// part keeps its triangular factor and the unit columns cover exactly the
+/// rows it leaves — the standard LP basis repair (Suhl & Suhl 1990).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RankDeficiency {
+    /// Basis positions whose columns are dependent on the pivoted ones.
+    pub dependent: Vec<usize>,
+    /// Rows that no pivot covers.
+    pub uncovered: Vec<usize>,
+}
+
+impl From<RankDeficiency> for LpError {
+    fn from(_: RankDeficiency) -> Self {
+        LpError::SingularBasis
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -55,7 +55,7 @@ pub mod standard;
 
 pub use basis::{BasisStatus, WarmOutcome, WarmStart};
 pub use dual::{solve_dual_from_basis, solve_dual_with_options};
-pub use error::LpError;
+pub use error::{LpError, RankDeficiency};
 pub use model::{Cmp, ConstraintId, Model, Sense, VarId};
 pub use pricing::ColumnPricer;
 pub use solution::{Solution, SolveStats, Status};

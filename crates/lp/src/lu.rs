@@ -9,7 +9,7 @@
 
 #![allow(clippy::needless_range_loop)] // index math mirrors the textbook formulas
 
-use crate::error::LpError;
+use crate::error::{LpError, RankDeficiency};
 use crate::PIVOT_TOL;
 
 /// Dense PA = LU factorization (row-major storage, partial pivoting).
@@ -24,15 +24,33 @@ pub struct DenseLu {
 }
 
 impl DenseLu {
-    /// Factorize the `n × n` matrix given in row-major order.
-    pub fn factorize(n: usize, mut a: Vec<f64>, pivot_tol: f64) -> Result<Self, LpError> {
+    /// Factorize the `n × n` matrix given in row-major order, rejecting a
+    /// singular one.
+    pub fn factorize(n: usize, a: Vec<f64>, pivot_tol: f64) -> Result<Self, LpError> {
+        Self::factorize_revealing(n, a, pivot_tol).map_err(LpError::from)
+    }
+
+    /// Rank-revealing factorization with the sparse backend's contract
+    /// ([`crate::slu::SparseLu::factorize_revealing`]): a column with no
+    /// pivot above `pivot_tol` on the rows not yet pivoted is reported as
+    /// dependent and skipped, and the rows left without a pivot are
+    /// reported as uncovered. On a nonsingular matrix every column pivots
+    /// in turn and the arithmetic is plain partial-pivoting LU.
+    pub fn factorize_revealing(
+        n: usize,
+        mut a: Vec<f64>,
+        pivot_tol: f64,
+    ) -> Result<Self, RankDeficiency> {
         assert_eq!(a.len(), n * n);
         let mut perm: Vec<usize> = (0..n).collect();
+        let mut dependent: Vec<usize> = Vec::new();
         for k in 0..n {
-            // Partial pivot: largest |a[i][k]| for i >= k.
-            let mut piv = k;
-            let mut best = a[k * n + k].abs();
-            for i in (k + 1)..n {
+            // Next pivot slot: rows above it are pivoted.
+            let slot = k - dependent.len();
+            // Partial pivot: largest |a[i][k]| for i >= slot.
+            let mut piv = slot;
+            let mut best = a[slot * n + k].abs();
+            for i in (slot + 1)..n {
                 let v = a[i * n + k].abs();
                 if v > best {
                     best = v;
@@ -40,24 +58,33 @@ impl DenseLu {
                 }
             }
             if best <= pivot_tol {
-                return Err(LpError::SingularBasis);
+                dependent.push(k);
+                continue;
             }
-            if piv != k {
+            if piv != slot {
                 for j in 0..n {
-                    a.swap(k * n + j, piv * n + j);
+                    a.swap(slot * n + j, piv * n + j);
                 }
-                perm.swap(k, piv);
+                perm.swap(slot, piv);
             }
-            let diag = a[k * n + k];
-            for i in (k + 1)..n {
+            let diag = a[slot * n + k];
+            for i in (slot + 1)..n {
                 let factor = a[i * n + k] / diag;
                 a[i * n + k] = factor;
                 if factor != 0.0 {
                     for j in (k + 1)..n {
-                        a[i * n + j] -= factor * a[k * n + j];
+                        a[i * n + j] -= factor * a[slot * n + j];
                     }
                 }
             }
+        }
+        if !dependent.is_empty() {
+            let mut uncovered = perm[n - dependent.len()..].to_vec();
+            uncovered.sort_unstable();
+            return Err(RankDeficiency {
+                dependent,
+                uncovered,
+            });
         }
         Ok(DenseLu { n, lu: a, perm })
     }
@@ -217,6 +244,24 @@ mod tests {
                 assert!((got - want).abs() < 1e-8);
             }
         }
+    }
+
+    #[test]
+    fn rank_deficiency_names_dependent_columns_and_uncovered_rows() {
+        // Column 1 = 2 · column 0, column 3 is zero: rank 2 of 4, and row
+        // 3 (touched only by column 2) is covered.
+        #[rustfmt::skip]
+        let a = vec![
+            1.0, 2.0, 0.0, 0.0,
+            3.0, 6.0, 0.0, 0.0,
+            0.0, 0.0, 0.0, 0.0,
+            0.0, 0.0, 5.0, 0.0,
+        ];
+        let def = DenseLu::factorize_revealing(4, a, PIVOT_TOL).unwrap_err();
+        assert_eq!(def.dependent, vec![1, 3]);
+        assert_eq!(def.uncovered.len(), 2);
+        assert!(def.uncovered.contains(&2));
+        assert!(!def.uncovered.contains(&3));
     }
 
     #[test]

@@ -33,7 +33,7 @@
 #![allow(clippy::needless_range_loop)] // simplex kernels read clearer with indices
 
 use crate::basis::{BasisStatus, WarmOutcome, WarmStart};
-use crate::error::LpError;
+use crate::error::{LpError, RankDeficiency};
 use crate::lu::DenseLu;
 use crate::model::{ConstraintId, Model, VarId};
 use crate::slu::SparseLu;
@@ -162,7 +162,7 @@ impl RevisedSimplex {
                 WarmInit::Failed => {
                     // Anything left over from the attempt (partial basis,
                     // repair artificials) is untrustworthy: start fresh.
-                    w = Worker::new(&sf, &self.options);
+                    w.restart();
                 }
             }
         }
@@ -190,7 +190,7 @@ impl RevisedSimplex {
                     // honest about what the warm attempt really cost.
                     let wasted = w.iterations;
                     outcome = WarmOutcome::Cold;
-                    w = Worker::new(&sf, &self.options);
+                    w.restart();
                     w.iterations = wasted;
                     w.init_basis();
                     w.refactor()?;
@@ -225,6 +225,8 @@ impl RevisedSimplex {
             ftran_nnz: w.ftran_nnz,
             warm: outcome,
             solve_ms: t0.elapsed_ms(),
+            rank_repairs: w.rank_repairs,
+            rank_dependents: w.rank_dependents,
             ..SolveStats::default()
         };
         let next_warm = extract_warm_start(model, &sf, &w);
@@ -388,6 +390,10 @@ pub(crate) struct Worker<'a> {
     pub(crate) iterations: usize,
     pub(crate) phase1_iterations: usize,
     pub(crate) refactors: usize,
+    /// Rank repairs of a seeded basis and the dependent columns they
+    /// swapped for slacks (see [`SolveStats::rank_repairs`]).
+    pub(crate) rank_repairs: usize,
+    pub(crate) rank_dependents: usize,
     /// Nonzeros produced by entering-column FTRANs (see
     /// [`SolveStats::ftran_nnz`]).
     pub(crate) ftran_nnz: u64,
@@ -433,6 +439,8 @@ impl<'a> Worker<'a> {
             iterations: 0,
             phase1_iterations: 0,
             refactors: 0,
+            rank_repairs: 0,
+            rank_dependents: 0,
             ftran_nnz: 0,
             degenerate_run: 0,
             bland: false,
@@ -440,6 +448,16 @@ impl<'a> Worker<'a> {
             price_cursor: 0,
             iteration_budget: None,
         }
+    }
+
+    /// Start over from an empty worker after abandoning a warm attempt,
+    /// keeping the rank repairs it made on the books.
+    fn restart(&mut self) {
+        *self = Worker {
+            rank_repairs: self.rank_repairs,
+            rank_dependents: self.rank_dependents,
+            ..Worker::new(self.sf, self.opts)
+        };
     }
 
     /// Guarantee the CSR mirror exists. Devex pricing builds it eagerly;
@@ -614,7 +632,7 @@ impl<'a> Worker<'a> {
         // basis: missing slots get completed with guessed slacks that
         // mostly come straight back as repairs, so far past the repair
         // limit the attempt is already doomed — bail before spending a
-        // factorization (and possibly a rank sweep) on it. The factor of
+        // factorization (and possibly a rank repair) on it. The factor of
         // two is headroom for the completions that do land feasible.
         if m - basics.len() > 2 * self.repair_limit() {
             return WarmInit::Failed;
@@ -645,17 +663,14 @@ impl<'a> Worker<'a> {
             self.state[j] = VarState::Basic;
         }
         self.basis = basics;
-        let mut repaired = false;
-        if self.refactor().is_err() {
-            // Model edits can leave the name-matched columns rank-deficient
-            // (a job's avail set changed, a column vanished). Swap the
-            // dependent ones for slacks of the rows they fail to cover and
-            // retry once before giving up.
-            if !self.prune_dependent_basics(self.repair_limit()) || self.refactor().is_err() {
-                return WarmInit::Failed;
-            }
-            repaired = true;
+        // Model edits can leave the name-matched columns rank-deficient (a
+        // job's avail set changed, a column vanished); the factorization
+        // then reports the dependent ones and they are swapped for slacks.
+        let repairs_before = self.rank_repairs;
+        if !self.refactor_or_repair() {
+            return WarmInit::Failed;
         }
+        let mut repaired = self.rank_repairs > repairs_before;
 
         // Repair loop: basics pushed out of their bounds by model edits are
         // demoted to the violated bound and replaced by an artificial unit
@@ -674,7 +689,7 @@ impl<'a> Worker<'a> {
                     flipped = true;
                 }
             }
-            if flipped && !self.refactor_or_prune() {
+            if flipped && !self.refactor_or_repair() {
                 return WarmInit::Failed;
             }
 
@@ -733,97 +748,65 @@ impl<'a> Worker<'a> {
             // nonsingular, but later columns' elimination ran through the
             // replaced one, so it isn't guaranteed — degrade through the
             // rank repair before abandoning the warm start.
-            if !self.refactor_or_prune() {
+            if !self.refactor_or_repair() {
                 return WarmInit::Failed;
             }
         }
         WarmInit::Failed
     }
 
-    /// Refactorize, and on singularity retry once after swapping the
-    /// dependent columns for slacks (see [`Self::prune_dependent_basics`]).
-    pub(crate) fn refactor_or_prune(&mut self) -> bool {
-        self.refactor().is_ok()
-            || (self.prune_dependent_basics(self.repair_limit()) && self.refactor().is_ok())
-    }
-
-    /// The seeded warm basis failed to factorize: some name-matched columns
-    /// no longer span the row space. Identify a maximal independent subset
-    /// with a dense rank-revealing elimination and replace each dependent
-    /// column with the slack of a row the independent set leaves uncovered
-    /// (slacks are unit columns, so the result is structurally nonsingular).
-    /// Runs only on the factorization-failure path, so the O(m³) dense sweep
-    /// never touches a healthy solve. Returns `false` when no full basis can
-    /// be assembled (caller cold-starts).
-    fn prune_dependent_basics(&mut self, limit: usize) -> bool {
-        let m = self.m();
-        let n_struct = self.sf.n_structural;
-        // Dense copy of the seeded basis columns, a[r * m + p].
-        let mut a = vec![0.0; m * m];
-        for (p, &j) in self.basis.iter().enumerate() {
-            self.for_col(j, |r, v| a[r * m + p] = v);
-        }
-        let mut row_used = vec![false; m];
-        let mut dependent: Vec<usize> = Vec::new();
-        for p in 0..m {
-            let mut best = self.opts.pivot_tol;
-            let mut best_row = usize::MAX;
-            for (r, used) in row_used.iter().enumerate() {
-                if !used && a[r * m + p].abs() > best {
-                    best = a[r * m + p].abs();
-                    best_row = r;
-                }
-            }
-            if best_row == usize::MAX {
-                dependent.push(p);
-                if dependent.len() > limit {
-                    // More dependent columns than the repair loop would
-                    // ever accept as violators: the attempt is doomed, so
-                    // stop the O(m³) sweep here.
-                    return false;
-                }
-                continue;
-            }
-            row_used[best_row] = true;
-            // Eliminate the pivot row from later columns. Earlier pivot rows
-            // are already zero in column p, so skipping used rows is exact.
-            let piv = a[best_row * m + p];
-            for q in (p + 1)..m {
-                let f = a[best_row * m + q] / piv;
-                if f == 0.0 {
-                    continue;
-                }
-                for (r, used) in row_used.iter().enumerate() {
-                    if !used {
-                        a[r * m + q] -= f * a[r * m + p];
-                    }
-                }
-            }
-        }
-        if dependent.is_empty() {
-            // Full rank by this sweep yet LU refused: numerical trouble the
-            // warm path should not fight.
+    /// Refactorize; when the basis is rank-deficient, swap each dependent
+    /// basic for the slack of a row no pivot covers and refactorize once
+    /// more. Returns `false` (caller cold-starts) when the repair would
+    /// touch more than [`Self::repair_limit`] positions or the repaired
+    /// basis still does not factorize.
+    pub(crate) fn refactor_or_repair(&mut self) -> bool {
+        let limit = self.repair_limit();
+        let Err(first) = self.factorize_basis(None) else {
+            return true;
+        };
+        if first.dependent.len() > limit {
             return false;
         }
-        let mut is_basic = vec![false; self.ncols()];
-        for &j in &self.basis {
-            is_basic[j] = true;
+        // Which columns come out dependent is up to the pivot order, and
+        // Markowitz takes the unit slack columns first, so it would drop
+        // structural basics — the part of a warm basis worth keeping.
+        // Factorize again with structurals ahead of slacks ahead of
+        // artificials so the repair drops the cheap columns instead.
+        let n_struct = self.sf.n_structural;
+        let tiers: Vec<u8> = self
+            .basis
+            .iter()
+            .map(|&j| u8::from(j >= n_struct) + u8::from(j >= self.n_real))
+            .collect();
+        let def = match self.factorize_basis(Some(&tiers)) {
+            Ok(()) => return true,
+            Err(def) => def,
+        };
+        if def.dependent.len() > limit {
+            return false;
         }
-        let mut unused: Vec<usize> = (0..m).filter(|&r| !row_used[r]).collect();
-        for &p in &dependent {
-            let Some(pos) = unused.iter().position(|&r| !is_basic[n_struct + r]) else {
-                return false;
-            };
-            let r = unused.swap_remove(pos);
-            let out = self.basis[p];
-            is_basic[out] = false;
-            self.place_nonbasic(out, None);
+        self.swap_in_slacks(&def);
+        self.refactor().is_ok()
+    }
+
+    /// Put the slack of `def.uncovered[i]` into basis position
+    /// `def.dependent[i]`. Slacks are unit columns, so the result is
+    /// nonsingular whenever the pivoted part of the factorization was.
+    fn swap_in_slacks(&mut self, def: &RankDeficiency) {
+        let n_struct = self.sf.n_structural;
+        for (&p, &r) in def.dependent.iter().zip(&def.uncovered) {
             let s = n_struct + r;
-            is_basic[s] = true;
+            // A basic unit column always has an admissible pivot on its
+            // own row, so an unpivoted row's slack cannot be basic.
+            debug_assert_ne!(self.state[s], VarState::Basic);
+            let out = self.basis[p];
+            self.place_nonbasic(out, None);
             self.state[s] = VarState::Basic;
             self.basis[p] = s;
         }
-        true
+        self.rank_repairs += 1;
+        self.rank_dependents += def.dependent.len();
     }
 
     fn set_phase1_costs(&mut self) {
@@ -880,6 +863,14 @@ impl<'a> Worker<'a> {
     /// bases the repeated allocation (and its page faults) used to dominate
     /// the factorization itself.
     pub(crate) fn refactor(&mut self) -> Result<(), LpError> {
+        self.factorize_basis(None).map_err(LpError::from)
+    }
+
+    /// [`Self::refactor`] with the rank deficiency of a singular basis
+    /// reported instead of collapsed into an error. `tiers` orders the
+    /// sparse pivot search (see [`SparseLu::factorize_revealing`]); the
+    /// dense backend pivots positions in order.
+    fn factorize_basis(&mut self, tiers: Option<&[u8]>) -> Result<(), RankDeficiency> {
         let m = self.m();
         self.refactors += 1;
         match self.opts.backend {
@@ -890,7 +881,7 @@ impl<'a> Worker<'a> {
                     cols[i].clear();
                     self.for_col(j, |r, v| cols[i].push((r, v)));
                 }
-                let res = SparseLu::factorize(m, &mut cols, self.opts.pivot_tol);
+                let res = SparseLu::factorize_revealing(m, &mut cols, self.opts.pivot_tol, tiers);
                 self.spcols = cols;
                 self.factor = Some(Factor::Sparse(res?));
             }
@@ -906,7 +897,7 @@ impl<'a> Worker<'a> {
                 for (i, &j) in self.basis.iter().enumerate() {
                     self.for_col(j, |r, v| dense[r * m + i] = v);
                 }
-                self.factor = Some(Factor::Dense(DenseLu::factorize(
+                self.factor = Some(Factor::Dense(DenseLu::factorize_revealing(
                     m,
                     dense,
                     self.opts.pivot_tol,

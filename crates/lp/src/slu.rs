@@ -17,11 +17,16 @@
 //! * **Factors stored sparsely.** `L` is a sequence of elimination steps
 //!   (pivot row + multiplier list), `U` a per-step column of upper
 //!   entries; FTRAN/BTRAN walk only stored nonzeros.
+//! * **Rank-revealing.** When the pivot search finds nothing admissible,
+//!   the elimination stops and reports the unpivoted basis positions and
+//!   the uncovered rows. A warm-start caller puts the slack of an
+//!   uncovered row into each such position and refactorizes — basis
+//!   repair for the cost of a few factorizations, with no dense rank sweep.
 //! * **Caller-owned workspaces.** Both the factorization input (the basis
 //!   columns) and the solve scratch are caller-provided and reused across
 //!   refactorizations, so the steady-state solver does not allocate here.
 
-use crate::error::LpError;
+use crate::error::{LpError, RankDeficiency};
 
 /// Relative threshold for Markowitz pivot admissibility: a candidate must
 /// be at least this fraction of the largest magnitude in its column.
@@ -62,15 +67,42 @@ pub struct SparseLu {
 
 impl SparseLu {
     /// Factorize the basis whose columns are given in `cols` (sparse
-    /// `(row, value)` lists, one per basis position). `cols` is consumed
-    /// as elimination workspace: on return every column is empty, ready
-    /// to be refilled for the next refactorization.
+    /// `(row, value)` lists, one per basis position), rejecting a singular
+    /// basis. See [`Self::factorize_revealing`] for the workspace contract.
     pub fn factorize(
         m: usize,
         cols: &mut [Vec<(usize, f64)>],
         pivot_tol: f64,
     ) -> Result<Self, LpError> {
+        Self::factorize_revealing(m, cols, pivot_tol, None).map_err(LpError::from)
+    }
+
+    /// Rank-revealing factorization. `cols` is consumed as elimination
+    /// workspace: on return every column is empty, ready to be refilled
+    /// for the next refactorization.
+    ///
+    /// When no active column holds an entry above `pivot_tol` the
+    /// elimination stops there and reports the still-active basis
+    /// positions as dependent and the still-active rows as uncovered
+    /// ([`RankDeficiency`]). That costs no more than the fill created so
+    /// far: a singular basis is diagnosed by the same sweep that would have
+    /// factorized it, in `O(nnz + m)` memory.
+    ///
+    /// With `tiers` (one value per basis position) no column is pivoted
+    /// while an admissible pivot remains in a column of a lower tier;
+    /// within a tier the order is Markowitz. On a singular basis this
+    /// decides which columns come out dependent: those of the highest
+    /// tiers. Ordering across tiers ignores fill, so it is for choosing a
+    /// repair, not for routine refactorization (`None`).
+    pub fn factorize_revealing(
+        m: usize,
+        cols: &mut [Vec<(usize, f64)>],
+        pivot_tol: f64,
+        tiers: Option<&[u8]>,
+    ) -> Result<Self, RankDeficiency> {
         assert_eq!(cols.len(), m);
+        assert!(tiers.is_none_or(|t| t.len() == m), "one tier per position");
+        let top_tier = tiers.map_or(0, |t| t.iter().copied().max().unwrap_or(0));
         let mut lu = SparseLu {
             m,
             prow: Vec::with_capacity(m),
@@ -110,40 +142,27 @@ impl SparseLu {
 
         for _step in 0..m {
             // --- pivot search ------------------------------------------
-            let mut best: Option<(usize, usize, f64, usize)> = None; // (row, col, val, cost)
-            for (j, col) in cols.iter().enumerate() {
-                if !col_active[j] {
-                    continue;
-                }
-                let colmax = col.iter().map(|&(_, v)| v.abs()).fold(0.0f64, f64::max);
-                if colmax <= pivot_tol {
-                    continue;
-                }
-                let admit = MARKOWITZ_THRESHOLD * colmax;
-                let ccount = col.len();
-                for &(r, v) in col {
-                    if v.abs() < admit || v.abs() <= pivot_tol {
-                        continue;
-                    }
-                    let cost = (row_count[r] - 1) * (ccount - 1);
-                    let better = match best {
-                        None => true,
-                        // On Markowitz ties prefer the larger pivot.
-                        Some((_, _, bv, bcost)) => {
-                            cost < bcost || (cost == bcost && v.abs() > bv.abs())
-                        }
-                    };
-                    if better {
-                        best = Some((r, j, v, cost));
-                    }
-                }
-                // A zero-cost pivot cannot be beaten; stop searching.
-                if matches!(best, Some((_, _, _, 0))) {
+            let mut best = None;
+            for level in 0..=top_tier {
+                best = markowitz_pivot(cols, &col_active, &row_count, pivot_tol, |j| {
+                    tiers.is_none_or(|t| t[j] == level)
+                });
+                if best.is_some() {
                     break;
                 }
             }
             let Some((pr, pc, pv, _)) = best else {
-                return Err(LpError::SingularBasis);
+                // Every active column is numerically zero on the active
+                // rows: they depend on the pivoted ones.
+                let dependent: Vec<usize> = (0..m).filter(|&j| col_active[j]).collect();
+                for &j in &dependent {
+                    cols[j].clear();
+                }
+                let uncovered = (0..m).filter(|&r| row_active[r]).collect();
+                return Err(RankDeficiency {
+                    dependent,
+                    uncovered,
+                });
             };
             let k = lu.prow.len();
             lu.prow.push(pr);
@@ -351,6 +370,50 @@ impl SparseLu {
     }
 }
 
+/// Markowitz pivot search over the active columns that pass `eligible`:
+/// the admissible entry (threshold pivoting) of least worst-case fill
+/// `(r_i − 1)(c_j − 1)`, ties going to the larger magnitude. Returns
+/// `(row, column, value, cost)`.
+fn markowitz_pivot(
+    cols: &[Vec<(usize, f64)>],
+    col_active: &[bool],
+    row_count: &[usize],
+    pivot_tol: f64,
+    eligible: impl Fn(usize) -> bool,
+) -> Option<(usize, usize, f64, usize)> {
+    let mut best: Option<(usize, usize, f64, usize)> = None;
+    for (j, col) in cols.iter().enumerate() {
+        if !col_active[j] || !eligible(j) {
+            continue;
+        }
+        let colmax = col.iter().map(|&(_, v)| v.abs()).fold(0.0f64, f64::max);
+        if colmax <= pivot_tol {
+            continue;
+        }
+        let admit = MARKOWITZ_THRESHOLD * colmax;
+        let ccount = col.len();
+        for &(r, v) in col {
+            if v.abs() < admit || v.abs() <= pivot_tol {
+                continue;
+            }
+            let cost = (row_count[r] - 1) * (ccount - 1);
+            let better = match best {
+                None => true,
+                // On Markowitz ties prefer the larger pivot.
+                Some((_, _, bv, bcost)) => cost < bcost || (cost == bcost && v.abs() > bv.abs()),
+            };
+            if better {
+                best = Some((r, j, v, cost));
+            }
+        }
+        // A zero-cost pivot cannot be beaten; stop searching.
+        if matches!(best, Some((_, _, _, 0))) {
+            break;
+        }
+    }
+    best
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -406,6 +469,97 @@ mod tests {
             SparseLu::factorize(2, &mut cols, 1e-9),
             Err(LpError::SingularBasis)
         ));
+    }
+
+    /// Factorize `cols` expecting a rank deficiency, then put the unit
+    /// column of each uncovered row into its dependent position and
+    /// factorize again, which must succeed.
+    fn deficiency_then_repair(cols: &[Vec<(usize, f64)>]) -> RankDeficiency {
+        let m = cols.len();
+        let mut work = cols.to_vec();
+        let def =
+            SparseLu::factorize_revealing(m, &mut work, 1e-9, None).expect_err("basis is singular");
+        assert!(work.iter().all(Vec::is_empty), "workspace drained");
+        assert_eq!(def.dependent.len(), def.uncovered.len());
+        assert!(def.dependent.windows(2).all(|w| w[0] < w[1]));
+        assert!(def.uncovered.windows(2).all(|w| w[0] < w[1]));
+        let mut repaired = cols.to_vec();
+        for (&p, &r) in def.dependent.iter().zip(&def.uncovered) {
+            repaired[p] = vec![(r, 1.0)];
+        }
+        SparseLu::factorize(m, &mut repaired, 1e-9).expect("repaired basis factorizes");
+        def
+    }
+
+    #[test]
+    fn duplicated_column_is_reported() {
+        let cols = vec![
+            vec![(0, 1.0)],
+            vec![(1, 0.3), (2, 0.7)],
+            vec![(1, 0.3), (2, 0.7)],
+            vec![(3, 1.0)],
+        ];
+        let def = deficiency_then_repair(&cols);
+        assert_eq!(def.dependent.len(), 1);
+        assert!([1, 2].contains(&def.dependent[0]));
+        assert!([1, 2].contains(&def.uncovered[0]));
+    }
+
+    #[test]
+    fn zero_column_is_reported() {
+        let cols = vec![vec![(0, 2.0), (1, 1.0)], vec![], vec![(1, 3.0)]];
+        let def = deficiency_then_repair(&cols);
+        assert_eq!(def.dependent, vec![1]);
+        assert_eq!(def.uncovered, vec![2]);
+    }
+
+    #[test]
+    fn dependence_revealed_only_after_fill_in() {
+        // c2 = c0 − c1: no column is zero or a duplicate, and c2 keeps
+        // entries until the elimination of c0 and c1 cancels them.
+        let cols = vec![
+            vec![(0, 1.0), (1, 1.0)],
+            vec![(1, 1.0), (2, 1.0)],
+            vec![(0, 1.0), (2, -1.0)],
+            vec![(3, 1.0)],
+        ];
+        let def = deficiency_then_repair(&cols);
+        assert_eq!(def.dependent.len(), 1);
+        assert!(def.dependent[0] < 3);
+        assert!(def.uncovered[0] < 3);
+    }
+
+    #[test]
+    fn rows_covered_by_basic_slacks_are_never_uncovered() {
+        // Unit columns on rows 0, 1 and 3 already cover those rows; the
+        // two structurals span nothing new, so rows 2 and 4 are left.
+        let cols = vec![
+            vec![(0, 1.0)],
+            vec![(0, 1.0), (1, 1.0)],
+            vec![(0, 1.0), (1, 1.0)],
+            vec![(1, 1.0)],
+            vec![(3, 1.0)],
+        ];
+        let def = deficiency_then_repair(&cols);
+        assert_eq!(def.dependent.len(), 2);
+        assert_eq!(def.uncovered, vec![2, 4]);
+        assert!(!def.dependent.contains(&4));
+    }
+
+    #[test]
+    fn tiers_decide_which_columns_are_dependent() {
+        // e0, e1, e0 + e1: any two span the first two rows. Markowitz
+        // takes the unit columns first and drops the structural; with the
+        // structural in a lower tier a unit column is dropped instead.
+        let cols = vec![vec![(0, 1.0)], vec![(1, 1.0)], vec![(0, 1.0), (1, 1.0)]];
+        let plain = SparseLu::factorize_revealing(3, &mut cols.clone(), 1e-9, None).unwrap_err();
+        assert_eq!(plain.dependent, vec![2]);
+        let tiered = SparseLu::factorize_revealing(3, &mut cols.clone(), 1e-9, Some(&[1, 1, 0]))
+            .unwrap_err();
+        assert_eq!(tiered.dependent.len(), 1);
+        assert_ne!(tiered.dependent[0], 2);
+        assert_eq!(plain.uncovered, vec![2]);
+        assert_eq!(tiered.uncovered, vec![2]);
     }
 
     #[test]

@@ -38,6 +38,11 @@ pub struct SolveStats {
     /// long-step flips inside the dual ratio test. Flips are not pivots
     /// and are not counted in `iterations`.
     pub bound_flips: usize,
+    /// Times a seeded basis came back rank-deficient from the
+    /// factorization and had its dependent columns swapped for slacks.
+    pub rank_repairs: usize,
+    /// Dependent columns those repairs swapped for slacks.
+    pub rank_dependents: usize,
 }
 
 /// Result of a successful solve.
